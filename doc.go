@@ -47,25 +47,21 @@
 // TestViolationSetDeterminism and the mem prime tests);
 // executor.Config.FullPrime forces the reference full prime.
 //
-// # Pipeline scheduling (uarch.Config.NaiveSchedule / EventSchedule)
+// # Pipeline scheduling
 //
-// The out-of-order core has two bit-identical pipeline schedulers. The
-// reference path walks the ROB: every cycle writeback and issue scan all
-// entries (with a completion watermark skipping quiescent writeback
-// cycles), and the store-queue search, memory-order check and speculation
-// shadow re-derive their answers from the window. The event-driven path
-// (uarch/scheduler.go) replaces the walks with scheduler structures — a
-// short-latency writeback calendar plus (DoneAt, Seq) heap, a
-// wakeup-select ready list whose consumers of long-latency producers park
-// on the producer's wake list, dedicated seq-ordered load/store queues and
-// an unresolved-branch queue giving O(1) UnderShadow — all pre-allocated
-// and rewound per input. Same cycle counts, same debug-log records, same
-// traces, same coverage bits; TestSchedulerBitIdentity and the
-// determinism-suite sweep across {event, naive} x workers {1, 4} pin it.
-// With neither knob set the core picks by window size
-// (uarch.EventScheduleMinROB): at the paper's 64-entry ROB the scans win
-// on constant factors, at 128+ entries the event structures win and the
-// gap grows with the window (BenchmarkCoreRunLargeWindow).
+// The out-of-order core has one pipeline scheduler: every cycle,
+// writeback and issue walk the ROB oldest first, and the store-queue
+// search, memory-order check and speculation shadow derive their answers
+// from the same window. Three bit-identical accelerations keep the walks
+// cheap at the paper's 64-entry ROB. A writeback watermark skips cycles
+// in which nothing can complete. An issue scoreboard (a completion bitmask
+// plus a list of unissued ROB slots) lets issue visit only dispatched
+// entries and test readiness with two word ANDs; it needs 2*ROBSize <= 128,
+// so larger windows run the plain walk. Quiescent-span skipping
+// (uarch/quiescent.go) jumps the cycle counter over spans in which no
+// stage can act. uarch.Config.NoScoreboard and NoCycleSkip pin the
+// reference paths; TestScoreboardBitIdentity, TestQuiescentSkipBitIdentity
+// and the determinism suite's goldens prove them identical.
 //
 // Entry points:
 //

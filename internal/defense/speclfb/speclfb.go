@@ -88,11 +88,9 @@ func (s *SpecLFB) LoadAction(ld *uarch.DynInst, spec bool) uarch.LoadAction {
 }
 
 // isPrevNoUnsafe reports whether no older unsafe load exists in the LSQ —
-// the isPrevNoUnsafe() check whose effect the UV6 bug mishandles. It runs
-// for every speculative load issue attempt, so it walks the core's
-// dedicated load queue (InFlightLoadsBefore) rather than the full ROB;
-// with the O(1) UnderShadow this turns the old O(ROB²) worst case into
-// O(older loads).
+// the isPrevNoUnsafe() check whose effect the UV6 bug mishandles. It walks
+// the core's in-flight loads older than ld (InFlightLoadsBefore), stopping
+// at the first unsafe one.
 func (s *SpecLFB) isPrevNoUnsafe(ld *uarch.DynInst) bool {
 	noUnsafe := true
 	s.c.InFlightLoadsBefore(ld.Seq, func(older *uarch.DynInst) bool {

@@ -23,8 +23,7 @@ import (
 // units into a differently-configured run would silently produce garbage.
 //
 // The knobs pinned bit-identical by the determinism suite (FullPrime,
-// FullDigest, the schedule/scoreboard/cycle-skip selectors, HeapFills,
-// ReferenceModel) are zeroed before digesting: they change how fast a
+// FullDigest, NoScoreboard, NoCycleSkip, HeapFills, ReferenceModel) are zeroed before digesting: they change how fast a
 // campaign runs, never what it produces, so a checkpoint written under one
 // A/B setting resumes cleanly under the other. Exec.Coverage is likewise
 // zeroed — it is derived from the strategy, which is digested by name. The
@@ -33,7 +32,6 @@ import (
 func campaignFingerprint(base fuzzer.Config, defense, frontend string, instances, epochs int, strategy string) uint64 {
 	exec := base.Exec
 	exec.FullPrime, exec.FullDigest, exec.Coverage = false, false, false
-	exec.Core.NaiveSchedule, exec.Core.EventSchedule = false, false
 	exec.Core.NoScoreboard, exec.Core.NoCycleSkip = false, false
 	exec.Core.Hier.HeapFills = false
 	mutRegs := "auto"

@@ -296,6 +296,49 @@ func TestResumeRejectsMismatchAndCorruption(t *testing.T) {
 	}
 }
 
+// TestCampaignFingerprintIgnoresReferenceKnobs pins campaignFingerprint's
+// contract: the reference knobs the determinism suite proves bit-identical
+// change how fast a campaign runs, never what it produces, so a checkpoint
+// written under one A/B setting resumes cleanly under the other — while a
+// real campaign input still changes the identity.
+func TestCampaignFingerprintIgnoresReferenceKnobs(t *testing.T) {
+	fp := func(base fuzzer.Config) uint64 {
+		return campaignFingerprint(base, "baseline", "toy", 2, 0, StrategyRandom)
+	}
+	base := engineConfig(1, 2, 6).Campaign.Base
+	want := fp(base)
+	for _, knob := range []struct {
+		name string
+		set  func(*fuzzer.Config)
+	}{
+		{"FullPrime", func(c *fuzzer.Config) { c.Exec.FullPrime = true }},
+		{"FullDigest", func(c *fuzzer.Config) { c.Exec.FullDigest = true }},
+		{"NoScoreboard", func(c *fuzzer.Config) { c.Exec.Core.NoScoreboard = true }},
+		{"NoCycleSkip", func(c *fuzzer.Config) { c.Exec.Core.NoCycleSkip = true }},
+		{"HeapFills", func(c *fuzzer.Config) { c.Exec.Core.Hier.HeapFills = true }},
+		{"ReferenceModel", func(c *fuzzer.Config) { c.ReferenceModel = true }},
+	} {
+		c := base
+		knob.set(&c)
+		if got := fp(c); got != want {
+			t.Errorf("%s changes the campaign fingerprint: %#x, want %#x", knob.name, got, want)
+		}
+	}
+	for _, input := range []struct {
+		name string
+		set  func(*fuzzer.Config)
+	}{
+		{"seed", func(c *fuzzer.Config) { c.Seed++ }},
+		{"L1D ways", func(c *fuzzer.Config) { c.Exec.Core.Hier.L1D.Ways++ }},
+	} {
+		c := base
+		input.set(&c)
+		if fp(c) == want {
+			t.Errorf("changing the %s leaves the campaign fingerprint unchanged", input.name)
+		}
+	}
+}
+
 // TestUnitWatchdog: a wedged unit is abandoned at the deadline, counted as
 // a timeout, bundled, and the rest of the campaign completes on a fresh
 // executor.

@@ -245,7 +245,7 @@ func New(cfg Config) (*Fuzzer, error) {
 	return &Fuzzer{
 		cfg:  cfg,
 		gen:  generator.NewFor(genCfg, cfg.Frontend),
-		mut:  generator.NewMutator(cfg.Seed^mutatorSeedMix, cfg.mutateRegs(), cfg.Gen.LegacyRand),
+		mut:  generator.NewMutator(cfg.Seed^mutatorSeedMix, cfg.mutateRegs()),
 		exec: exec,
 		def:  def,
 		tp:   &contract.TracePool{},
@@ -416,7 +416,7 @@ func NewUnitGenStrategy(cfg Config, seed int64, strat generator.Strategy) (*Unit
 	return &UnitGen{
 		cfg:   cfg,
 		gen:   generator.NewFor(genCfg, cfg.Frontend),
-		mut:   generator.NewMutator(seed^mutatorSeedMix, cfg.mutateRegs(), cfg.Gen.LegacyRand),
+		mut:   generator.NewMutator(seed^mutatorSeedMix, cfg.mutateRegs()),
 		strat: strat,
 	}, nil
 }

@@ -17,12 +17,6 @@ import (
 type Config struct {
 	Seed int64
 
-	// LegacyRand draws from math/rand instead of the default counter-based
-	// splitmix64 stream (rng.go). The streams produce different values, so
-	// the switch re-pinned every seed-dependent golden; this knob keeps the
-	// old stream reachable for A/B comparison against pre-switch results.
-	LegacyRand bool
-
 	MinInsts  int // minimum instructions per program
 	MaxInsts  int // maximum instructions per program
 	MaxBlocks int // maximum basic blocks (paper: 5)
@@ -99,7 +93,7 @@ type Generator struct {
 	cfg    Config
 	fe     isa.Frontend
 	params isa.GenParams
-	rng    rngStream
+	rng    *counterRand
 }
 
 // New builds a generator for the toy frontend. It panics on invalid
@@ -115,7 +109,7 @@ func NewFor(cfg Config, fe isa.Frontend) *Generator {
 	if fe == nil {
 		fe = isa.Toy
 	}
-	return &Generator{cfg: cfg, fe: fe, params: cfg.Params(), rng: newRNG(cfg.Seed, cfg.LegacyRand)}
+	return &Generator{cfg: cfg, fe: fe, params: cfg.Params(), rng: newCounterRand(cfg.Seed)}
 }
 
 // Frontend returns the ISA frontend this generator drives.

@@ -129,7 +129,7 @@ func TestInputMutatorDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 55
 	gA, gB := New(cfg), New(cfg)
-	mA, mB := NewMutator(123, true, false), NewMutator(123, true, false)
+	mA, mB := NewMutator(123, true), NewMutator(123, true)
 	mutants := 0
 	for i := 0; i < 10; i++ {
 		pA, pB := gA.Program(), gB.Program()
@@ -166,7 +166,7 @@ func TestMutatorPreservesContractTrace(t *testing.T) {
 	cfg.Seed = 7
 	g := New(cfg)
 	sb := g.Sandbox()
-	mut := NewMutator(99, true, false)
+	mut := NewMutator(99, true)
 
 	accepted := 0
 	for i := 0; i < 60; i++ {
@@ -215,7 +215,7 @@ func TestMutatorRespectsLiveState(t *testing.T) {
 	base.Mem[16] = 1
 	tr, usage := md.Collect(base)
 
-	mut := NewMutator(3, true, false)
+	mut := NewMutator(3, true)
 	for i := 0; i < 10; i++ {
 		mutant, ok := mut.Mutate(md, base, usage, tr)
 		if !ok {

@@ -11,7 +11,7 @@ import (
 // test case. The randomized state is the "secret" whose micro-architectural
 // visibility the fuzzer then checks.
 type Mutator struct {
-	rng  rngStream
+	rng  *counterRand
 	buf  []byte     // scratch for bulk randomization
 	cand *isa.Input // reusable candidate; cloned only when a mutant verifies
 
@@ -23,10 +23,9 @@ type Mutator struct {
 	MutateRegs bool
 }
 
-// NewMutator builds a mutator with its own PRNG stream; legacy selects the
-// math/rand stream (Config.LegacyRand semantics).
-func NewMutator(seed int64, mutateRegs, legacy bool) *Mutator {
-	return &Mutator{rng: newRNG(seed, legacy), MutateRegs: mutateRegs}
+// NewMutator builds a mutator with its own PRNG stream.
+func NewMutator(seed int64, mutateRegs bool) *Mutator {
+	return &Mutator{rng: newCounterRand(seed), MutateRegs: mutateRegs}
 }
 
 // Draws returns the mutation stream's draw counter (see Generator.Draws).

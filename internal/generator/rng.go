@@ -3,42 +3,22 @@ package generator
 import (
 	"encoding/binary"
 	"math/bits"
-	"math/rand"
 
-	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/mem"
 )
-
-// rngStream is the PRNG surface generation and mutation draw from — the
-// isa.RNG interface the frontend hooks consume, plus the draw counter the
-// checkpoint diagnostics record. Two implementations exist: counterRand
-// (the default) and legacyRand (math/rand behind Config.LegacyRand /
-// NewMutator's legacy flag, kept for A/B comparison against the pre-switch
-// golden fingerprints).
-//
-// The switch is a determinism break by design: every draw changes value, so
-// the campaign fingerprints pinned by TestViolationSetDeterminism were
-// re-recorded in the same change (the old values stay in that test as
-// comments, reachable through the legacy knob).
-type rngStream interface {
-	isa.RNG
-	// Draws returns how many draws the stream has served — the "PRNG
-	// counter" campaign checkpoints record per work unit. For counterRand
-	// it is exactly the splitmix counter position, so two runs of the same
-	// unit that report the same count consumed the identical stream prefix.
-	Draws() uint64
-}
 
 // counterGamma is the splitmix64 stream increment (the golden-ratio odd
 // constant); coprime to 2^64, so the counter walk visits every state.
 const counterGamma = 0x9E3779B97F4A7C15
 
-// counterRand is a counter-based splitmix64 stream: output n is
-// Mix64(base + n*gamma), a pure function of (seed, n). Compared to
-// math/rand's lagged-Fibonacci source it needs no 607-word state to seed —
-// campaigns build a fresh stream per work unit, and rand.(*rngSource).Seed
-// showed up in campaign profiles right next to the draw costs — and each
-// draw is a handful of arithmetic ops with no table walk.
+// counterRand is the PRNG stream generation and mutation draw from: a
+// counter-based splitmix64 stream whose output n is Mix64(base + n*gamma),
+// a pure function of (seed, n). It implements isa.RNG for the frontend
+// hooks. Compared to math/rand's lagged-Fibonacci source it needs no
+// 607-word state to seed — campaigns build a fresh stream per work unit,
+// and rand.(*rngSource).Seed showed up in campaign profiles right next to
+// the draw costs — and each draw is a handful of arithmetic ops with no
+// table walk.
 type counterRand struct {
 	base uint64
 	n    uint64
@@ -98,46 +78,8 @@ func (c *counterRand) Perm(n int) []int {
 	return p
 }
 
-// Draws implements rngStream: the counter position itself.
+// Draws returns how many draws the stream has served — the "PRNG
+// counter" campaign checkpoints record per work unit. It is exactly the
+// splitmix counter position, so two runs of the same unit that report the
+// same count consumed the identical stream prefix.
 func (c *counterRand) Draws() uint64 { return c.n }
-
-// legacyRand adapts *rand.Rand to rngStream (Read drops the error return
-// math/rand carries for io.Reader compatibility; it cannot fail). Unlike
-// counterRand there is no natural counter in the source, so each rngStream
-// call counts as one draw; the absolute value differs from counterRand's
-// but is equally deterministic, which is all the checkpoint diagnostic
-// needs.
-type legacyRand struct {
-	r *rand.Rand
-	n uint64
-}
-
-func newLegacyRand(seed int64) *legacyRand {
-	return &legacyRand{r: rand.New(rand.NewSource(seed))}
-}
-
-// Intn implements rngStream.
-func (l *legacyRand) Intn(n int) int { l.n++; return l.r.Intn(n) }
-
-// Uint64 implements rngStream.
-func (l *legacyRand) Uint64() uint64 { l.n++; return l.r.Uint64() }
-
-// Float64 implements rngStream.
-func (l *legacyRand) Float64() float64 { l.n++; return l.r.Float64() }
-
-// Read implements rngStream.
-func (l *legacyRand) Read(p []byte) { l.n++; l.r.Read(p) }
-
-// Perm implements rngStream.
-func (l *legacyRand) Perm(n int) []int { l.n++; return l.r.Perm(n) }
-
-// Draws implements rngStream.
-func (l *legacyRand) Draws() uint64 { return l.n }
-
-// newRNG picks the stream implementation.
-func newRNG(seed int64, legacy bool) rngStream {
-	if legacy {
-		return newLegacyRand(seed)
-	}
-	return newCounterRand(seed)
-}

@@ -67,8 +67,7 @@ type SourceProgram interface {
 }
 
 // RNG is the deterministic random stream frontends draw from. The
-// generator's seeded streams (counter-based splitmix64, or math/rand behind
-// the legacy knob) implement it.
+// generator's seeded counter-based splitmix64 stream implements it.
 type RNG interface {
 	Intn(n int) int
 	Uint64() uint64

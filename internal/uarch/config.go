@@ -24,43 +24,19 @@ type Config struct {
 	// the bound only protects against model bugs.
 	MaxCycles uint64
 
-	// NaiveSchedule pins the reference scan-based pipeline scheduling:
-	// writeback and issue walk the full ROB every cycle, the store-queue
-	// search and memory-order check scan the ROB, and UnderShadow re-walks
-	// it per query. The event-driven scheduler (scheduler.go — writeback
-	// wakeup calendar+heap, wakeup-select issue list, dedicated load/store
-	// queues, unresolved-branch queue) is bit-identical — same cycle
-	// counts, same log records, same traces — which
-	// TestSchedulerBitIdentity and TestViolationSetDeterminism pin; like
-	// executor.Config.FullPrime, this knob exists only for regression
-	// pinning and A/B measurement.
-	//
-	// With neither schedule knob set the core chooses by window size: the
-	// event structures win once the ROB is large enough for per-cycle
-	// scans to hurt (>= EventScheduleMinROB), while at the paper's
-	// 64-entry geometry the scans touch so few live entries that the
-	// scheduler bookkeeping costs more than it saves (BenchmarkCoreRun
-	// vs BenchmarkCoreRunLargeWindow document the crossover).
-	NaiveSchedule bool
-
-	// EventSchedule forces the event-driven scheduler regardless of window
-	// size. The equivalence and determinism suites use it to exercise the
-	// event structures at the paper's (below-crossover) geometry.
-	EventSchedule bool
-
-	// NoScoreboard pins the naive schedule's reference issue bookkeeping:
-	// the per-cycle issue walk scans the full ROB and readiness is decided
-	// by DepsDone's per-producer pointer walk. By default the naive
-	// schedule keeps a completion scoreboard — a bitmask over ROB slots set
-	// at writeback — so readiness is two word ANDs against a per-instruction
-	// wait mask computed at dispatch, and an unissued list so the walk
-	// visits only not-yet-issued entries. Bit-identical (same visit order,
+	// NoScoreboard pins the reference issue bookkeeping: the per-cycle
+	// issue walk scans the full ROB and readiness is decided by DepsDone's
+	// per-producer pointer walk. By default the core keeps a completion
+	// scoreboard — a bitmask over ROB slots set at writeback — so
+	// readiness is two word ANDs against a per-instruction wait mask
+	// computed at dispatch, and an unissued list so the walk visits only
+	// not-yet-issued entries. Bit-identical (same visit order,
 	// same attemptIssue calls, same side effects), pinned by
 	// TestScoreboardBitIdentity and the determinism sweep; like
-	// NaiveSchedule, the knob exists only for regression pinning and A/B
-	// measurement. The scoreboard needs one mask word pair to cover the ROB
-	// backing buffer, so it engages only when ROBSize <= 64 — every larger
-	// window already runs the event scheduler by default.
+	// executor.Config.FullPrime, the knob exists only for regression
+	// pinning and A/B measurement. The scoreboard needs one mask word pair
+	// to cover the ROB backing buffer, so it engages only when
+	// ROBSize <= 64; larger windows run the reference walk.
 	NoScoreboard bool
 
 	// NoCycleSkip pins the reference cycle-by-cycle loop: the core ticks
@@ -69,7 +45,7 @@ type Config struct {
 	// cycle counter to the next fill completion, writeback or fetch-stall
 	// expiry when every intervening cycle would be a provable no-op — which
 	// is bit-identical by construction and pinned against this knob by
-	// TestQuiescentSkipBitIdentity; like NaiveSchedule, it exists only for
+	// TestQuiescentSkipBitIdentity; like NoScoreboard, it exists only for
 	// regression pinning and A/B measurement.
 	NoCycleSkip bool
 }
@@ -104,9 +80,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxCycles < 1000 {
 		return fmt.Errorf("uarch: MaxCycles must be >= 1000, got %d", c.MaxCycles)
-	}
-	if c.NaiveSchedule && c.EventSchedule {
-		return fmt.Errorf("uarch: NaiveSchedule and EventSchedule are mutually exclusive")
 	}
 	return c.Hier.Validate()
 }

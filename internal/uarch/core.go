@@ -60,54 +60,36 @@ type Core struct {
 	robBuf    []*DynInst
 	squashBuf []*DynInst
 
-	// Event-driven scheduler state (scheduler.go), maintained only when
-	// !cfg.NaiveSchedule: the short-latency writeback calendar ring and the
-	// long-latency wakeup heap with their due-batch scratch, the seq-sorted
-	// ready list with its wake and merge scratch buffers, the in-flight
-	// load/store queues, and the unresolved-branch queue. robOff is the
-	// robBuf index of rob[0], so an instruction's ROB position is
-	// RobIdx - robOff without scanning; naive caches cfg.NaiveSchedule for
-	// the hot-path checks.
-	wbRing   [wbRingSlots][]*DynInst
-	wbHeap   []*DynInst
-	wbDue    []*DynInst
-	ready    []*DynInst
-	readyNew []*DynInst
-	readyBuf []*DynInst
-	loadQ    instQueue
-	storeQ   instQueue
-	brq      instQueue
-	robOff   int
-	naive    bool
+	// robOff is the robBuf index of rob[0], so an instruction's ROB
+	// position is RobIdx - robOff without scanning.
+	robOff int
 
-	// wbNext is the naive writeback walk's skip watermark: a conservative
-	// lower bound on the earliest completion among executing instructions.
+	// wbNext is the writeback walk's skip watermark: a conservative lower
+	// bound on the earliest completion among executing instructions.
 	wbNext uint64
 
-	// Scoreboard state (naive schedule, unless cfg.NoScoreboard; see the
-	// Config.NoScoreboard doc). sbDone has the bit of every robBuf slot
-	// whose instruction reached StDone/StCommitted — set at writeback,
-	// cleared when a squash frees slots for reuse, rebuilt on window
-	// compaction. unissued is the seq-ordered list of dispatched entries
-	// the issue walk still has to visit, held as robBuf slot indices
-	// rather than pointers so the per-cycle compaction writes plain ints
-	// (no GC write barriers on the hottest loop in the profile); issued
-	// entries are compacted out lazily, squashes truncate it, and the
-	// compaction rebuild renumbers it along with the masks. A slot index
-	// always denotes the instruction that appended it: slots are only
-	// reused after a squash (which truncated the list first) or a
-	// compaction (which rebuilt it).
+	// Scoreboard state (unless cfg.NoScoreboard; see the Config.NoScoreboard
+	// doc). sbDone has the bit of every robBuf slot whose instruction reached
+	// StDone/StCommitted — set at writeback, cleared when a squash frees slots
+	// for reuse, rebuilt on window compaction. unissued is the seq-ordered
+	// list of dispatched entries the issue walk still has to visit, held as
+	// robBuf slot indices rather than pointers so the per-cycle compaction
+	// writes plain ints (no GC write barriers on the hottest loop in the
+	// profile); issued entries are compacted out lazily, squashes truncate it,
+	// and the compaction rebuild renumbers it along with the masks. A slot
+	// index always denotes the instruction that appended it: slots are only
+	// reused after a squash (which truncated the list first) or a compaction
+	// (which rebuilt it).
 	sbOn     bool
 	sbDone   [2]uint64
 	unissued []int32
 
 	// lastActCycle is the last cycle in which an instruction changed state
-	// (issued, wrote back or committed). skipQuiescentSpan's naive branch
-	// uses it to pay for the span-proof ROB walk only on cycles that were
-	// themselves fully quiet — on a busy cycle the very activity that just
-	// happened almost always seeds more next cycle, so the walk would fail
-	// anyway. Suppressing the attempt only forgoes a skip; it can never
-	// change behaviour.
+	// (issued, wrote back or committed). skipQuiescentSpan uses it to pay for
+	// the span-proof ROB walk only on cycles that were themselves fully quiet
+	// — on a busy cycle the very activity that just happened almost always
+	// seeds more next cycle, so the walk would fail anyway. Suppressing the
+	// attempt only forgoes a skip; it can never change behaviour.
 	lastActCycle uint64
 
 	// cov, when non-nil, receives speculation-coverage features as the core
@@ -129,18 +111,15 @@ func NewCore(cfg Config, def Defense) *Core {
 	if def == nil {
 		def = NopDefense{}
 	}
-	naive := cfg.NaiveSchedule || (!cfg.EventSchedule && cfg.ROBSize < EventScheduleMinROB)
 	c := &Core{
-		cfg:   cfg,
-		def:   def,
-		Hier:  mem.NewHierarchy(cfg.Hier),
-		BP:    NewBPred(cfg.BPred),
-		MD:    NewMDP(),
-		naive: naive,
+		cfg:  cfg,
+		def:  def,
+		Hier: mem.NewHierarchy(cfg.Hier),
+		BP:   NewBPred(cfg.BPred),
+		MD:   NewMDP(),
 		// The scoreboard needs one bit per robBuf slot (2*ROBSize) in its
-		// two mask words; larger windows keep the reference walk (and run
-		// the event scheduler by default anyway).
-		sbOn: naive && !cfg.NoScoreboard && 2*cfg.ROBSize <= 128,
+		// two mask words; larger windows keep the reference walk.
+		sbOn: !cfg.NoScoreboard && 2*cfg.ROBSize <= 128,
 	}
 	def.Attach(c)
 	return c
@@ -234,9 +213,6 @@ func (c *Core) ResetForInput(in *isa.Input) {
 	c.lastActCycle = 0
 	c.sbDone = [2]uint64{}
 	c.unissued = c.unissued[:0]
-	if !c.naive {
-		c.schedInit()
-	}
 	c.dyn.reset()
 	for i := range c.renameReg {
 		c.renameReg[i] = nil
@@ -374,24 +350,19 @@ func (c *Core) Run() error {
 // --- writeback & branch resolution ---
 
 // startExec moves in to the executing state, completing at doneAt, and
-// registers it with the writeback wakeup heap under the event-driven
-// scheduler.
+// lowers the writeback watermark to cover it.
 func (c *Core) startExec(in *DynInst, doneAt uint64) {
 	in.State = StExecuting
 	in.DoneAt = doneAt
 	c.lastActCycle = c.cycle
-	if !c.naive {
-		c.schedExec(in, doneAt)
-	} else if doneAt < c.wbNext {
+	if doneAt < c.wbNext {
 		c.wbNext = doneAt
 	}
 }
 
+// writeback retires the execution of every instruction whose DoneAt has
+// arrived, oldest first, resolving branches as it goes.
 func (c *Core) writeback() {
-	if !c.naive {
-		c.writebackEvent()
-		return
-	}
 	// wbNext is a conservative lower bound on the earliest DoneAt of any
 	// executing instruction (startExec lowers it, the walk re-derives it),
 	// so the cycles spent waiting on one long-latency fill skip the ROB
@@ -414,7 +385,9 @@ func (c *Core) writeback() {
 			continue
 		}
 		in.State = StDone
-		c.sbDone[in.RobIdx>>6] |= 1 << (in.RobIdx & 63)
+		if c.sbOn {
+			c.sbDone[in.RobIdx>>6] |= 1 << (in.RobIdx & 63)
+		}
 		c.lastActCycle = c.cycle
 		if in.IsBranch() {
 			if c.resolveBranch(in) {
@@ -466,9 +439,6 @@ func (c *Core) squashYoungerThan(seq uint64, redirectIdx int) {
 	squashed := append(c.squashBuf[:0], c.rob[cut:]...)
 	c.squashBuf = squashed
 	c.rob = c.rob[:cut]
-	if !c.naive {
-		c.schedSquash(seq)
-	}
 	if c.sbOn {
 		// The truncated slots are the next ones robPush reuses: their done
 		// bits must not leak onto the instructions that take them over. The
@@ -568,9 +538,6 @@ func (c *Core) commit() {
 		}
 		c.rob = c.rob[1:]
 		c.robOff++
-		if !c.naive {
-			c.schedCommit(in)
-		}
 		c.stats.Committed++
 	}
 }
@@ -621,20 +588,7 @@ func (c *Core) accessLines(in *DynInst, opts mem.DataAccessOpts) (res1, res2 mem
 
 // UnderShadow reports whether an older unresolved conditional branch exists
 // for in: the speculation shadow that defenses key their protection on.
-// Under the event-driven scheduler this is one compare against the oldest
-// unresolved branch; the naive schedule keeps the reference ROB walk.
 func (c *Core) UnderShadow(in *DynInst) bool {
-	if !c.naive {
-		q := c.brq.q
-		if len(q) == 0 {
-			return false
-		}
-		if f := q[0]; f.State == StDispatched || f.State == StExecuting {
-			return f.Seq < in.Seq // front already unresolved: the hot path
-		}
-		br := c.oldestUnresolvedBranch()
-		return br != nil && br.Seq < in.Seq
-	}
 	for _, older := range c.rob {
 		if older.Seq >= in.Seq {
 			return false
@@ -646,11 +600,9 @@ func (c *Core) UnderShadow(in *DynInst) bool {
 	return false
 }
 
+// issue walks the dispatched instructions oldest first, attempting each
+// under the IssueWidth budget.
 func (c *Core) issue() {
-	if !c.naive {
-		c.issueEvent()
-		return
-	}
 	if c.sbOn {
 		c.issueScoreboard()
 		return
@@ -667,12 +619,13 @@ func (c *Core) issue() {
 	}
 }
 
-// issueScoreboard is the naive issue walk over the unissued list: the same
+// issueScoreboard is the issue walk over the unissued list: the same
 // attemptIssue calls in the same (program) order as the reference full-ROB
 // scan — dispatched entries are exactly the list's live entries, in seq
 // order — minus the visits to already-executing, done and committed
 // entries the reference walk steps over. Issued and squashed entries are
-// compacted out with a write cursor, mirroring issueEvent.
+// compacted out with a write cursor; writes begin only at the first
+// removal, so a fully stalled cycle stores nothing.
 func (c *Core) issueScoreboard() {
 	issued := 0
 	list := c.unissued
@@ -741,9 +694,10 @@ func (c *Core) depsDone(in *DynInst) bool {
 // attemptIssue tries to advance one dispatched instruction through its next
 // issue step, incrementing *issued per consumed slot. head reports whether
 // the instruction is at the ROB head (fences serialize there). It reports
-// whether a memory-order squash rewrote the pipeline. Both schedules share
-// it, so the per-instruction issue semantics — and every defense/coverage
-// side effect of an attempt — are identical by construction.
+// whether a memory-order squash rewrote the pipeline. The scoreboard and
+// reference walks share it, so the per-instruction issue semantics — and
+// every defense/coverage side effect of an attempt — are identical by
+// construction.
 func (c *Core) attemptIssue(in *DynInst, head bool, issued *int) (squashed bool) {
 	switch {
 	case in.In.Op == isa.OpNop:
@@ -903,59 +857,35 @@ func (c *Core) tryIssueLoad(ld *DynInst) bool {
 // first. It returns a forwarded value when the youngest older overlapping
 // store fully covers the load, blocks the load when a partial overlap or a
 // must-wait dependence prediction demands it, and otherwise lets the load
-// bypass (recording that it did, for memory-order violation checks).
-//
-// Under the event-driven scheduler the walk covers exactly the older
-// entries of the dedicated store queue (binary search by the load's Seq);
-// the naive schedule walks the ROB downward from the load's own position,
-// which RobIdx now yields directly instead of the old linear self-scan.
+// bypass (recording that it did, for memory-order violation checks). The
+// walk runs down the ROB from the load's own position, which RobIdx yields
+// directly.
 func (c *Core) searchStoreQueue(ld *DynInst) (fwd bool, val uint64, blocked bool) {
 	ldBytes := spanOf(c.sb, ld.EffAddr, ld.In.Size)
-	if !c.naive {
-		sq := c.storeQ.q
-		for i := c.storeQ.olderThan(ld.Seq) - 1; i >= 0; i-- {
-			if fwd, val, blocked, decided := c.searchStoreStep(ld, sq[i], &ldBytes); decided {
-				return fwd, val, blocked
-			}
-		}
-		return false, 0, false
-	}
 	for i := ld.RobIdx - c.robOff - 1; i >= 0; i-- {
 		st := c.rob[i]
 		if !st.IsStore() || st.State == StCommitted {
 			continue
 		}
-		if fwd, val, blocked, decided := c.searchStoreStep(ld, st, &ldBytes); decided {
-			return fwd, val, blocked
+		if !st.AddrValid {
+			if !c.MD.Bypass(ld.PC) {
+				return false, 0, true
+			}
+			ld.Bypassed = true
+			continue
 		}
+		stBytes := spanOf(c.sb, st.EffAddr, st.In.Size)
+		if !stBytes.overlaps(&ldBytes) {
+			continue
+		}
+		if p := st.Deps[1]; (p != nil && p.State != StDone && p.State != StCommitted) || !stBytes.covers(&ldBytes) {
+			// Partial overlap or data not ready: wait for the store.
+			return false, 0, true
+		}
+		ld.FwdFromSeq = st.Seq
+		return true, extractForward(&stBytes, &ldBytes, st.SrcVal(1)), false
 	}
 	return false, 0, false
-}
-
-// searchStoreStep applies the forwarding/blocking rules of one older store
-// to the load; decided reports that the walk can stop.
-func (c *Core) searchStoreStep(ld, st *DynInst, ldBytes *byteSpan) (fwd bool, val uint64, blocked, decided bool) {
-	if !st.AddrValid {
-		if !c.MD.Bypass(ld.PC) {
-			return false, 0, true, true
-		}
-		ld.Bypassed = true
-		return false, 0, false, false
-	}
-	stBytes := spanOf(c.sb, st.EffAddr, st.In.Size)
-	if !stBytes.overlaps(ldBytes) {
-		return false, 0, false, false
-	}
-	dataReady := true
-	if p := st.Deps[1]; p != nil && p.State != StDone && p.State != StCommitted {
-		dataReady = false
-	}
-	if !dataReady || !stBytes.covers(ldBytes) {
-		// Partial overlap or data not ready: wait for the store.
-		return false, 0, true, true
-	}
-	ld.FwdFromSeq = st.Seq
-	return true, extractForward(&stBytes, ldBytes, st.SrcVal(1)), false, true
 }
 
 // extractForward assembles the load value from the store's data bytes.
@@ -1059,50 +989,23 @@ func (c *Core) tryIssueStore(st *DynInst, issued *int) (squashed bool) {
 	return false
 }
 
-// movVictim reports whether the younger load in violated memory ordering
-// against store st: it executed, did not take its value from a store
-// younger than st, and its resolved address overlaps st's bytes. One
-// predicate shared by both scheduler paths, so the filters cannot drift.
-func (c *Core) movVictim(st, in *DynInst, stBytes *byteSpan) bool {
-	if in.State != StExecuting && in.State != StDone {
-		return false
-	}
-	if in.Forwarded && in.FwdFromSeq > st.Seq {
-		return false // value came from a store younger than st: still correct
-	}
-	if !in.AddrValid {
-		return false
-	}
-	ldBytes := spanOf(c.sb, in.EffAddr, in.In.Size)
-	return stBytes.overlaps(&ldBytes)
-}
-
 // checkMemOrderViolation looks for younger loads that already executed and
 // overlap the store whose address just resolved. Such loads consumed stale
 // data (the Spectre-v4 window); the pipeline squashes from the oldest
-// violating load and trains the dependence predictor. The event-driven
-// scheduler scans only the executed younger loads of the dedicated load
-// queue; the naive schedule keeps the reference full-ROB walk.
+// violating load and trains the dependence predictor. A load that took its
+// value from a store younger than st still holds correct data.
 func (c *Core) checkMemOrderViolation(st *DynInst) bool {
 	stBytes := spanOf(c.sb, st.EffAddr, st.In.Size)
 	var victim *DynInst
-	if !c.naive {
-		lq := c.loadQ.q
-		for i := c.loadQ.olderThan(st.Seq); i < len(lq); i++ {
-			if in := lq[i]; c.movVictim(st, in, &stBytes) {
-				victim = in
-				break // the queue is in program order: first match is the oldest
-			}
+	for _, in := range c.rob {
+		if in.Seq <= st.Seq || !in.IsLoad() || !in.AddrValid ||
+			(in.State != StExecuting && in.State != StDone) ||
+			(in.Forwarded && in.FwdFromSeq > st.Seq) {
+			continue
 		}
-	} else {
-		for _, in := range c.rob {
-			if in.Seq <= st.Seq || !in.IsLoad() {
-				continue
-			}
-			if c.movVictim(st, in, &stBytes) {
-				victim = in
-				break // ROB is in program order: first match is the oldest
-			}
+		if ldBytes := spanOf(c.sb, in.EffAddr, in.In.Size); stBytes.overlaps(&ldBytes) {
+			victim = in
+			break // ROB is in program order: first match is the oldest
 		}
 	}
 	if victim == nil {
@@ -1266,9 +1169,6 @@ func (c *Core) dispatch(idx int) {
 		c.renameFlags = d
 	}
 	c.robPush(d)
-	if !c.naive {
-		c.schedDispatch(d)
-	}
 	if c.sbOn {
 		// After robPush: a window compaction in there renumbers the
 		// producers' slots the mask refers to.
@@ -1312,6 +1212,24 @@ func (c *Core) sbRebuild() {
 		case StDispatched:
 			c.sbComputeWait(in)
 			c.unissued = append(c.unissued, int32(in.RobIdx))
+		}
+	}
+}
+
+// InFlightLoadsBefore calls fn for every in-flight (dispatched, executing
+// or done) load older than seq, oldest first, stopping early when fn
+// returns false. It is the load-queue view defenses scan (SpecLFB's
+// isPrevNoUnsafe), walked over the ROB.
+func (c *Core) InFlightLoadsBefore(seq uint64, fn func(*DynInst) bool) {
+	for _, in := range c.rob {
+		if in.Seq >= seq {
+			return
+		}
+		if !in.IsLoad() || in.State == StCommitted || in.State == StSquashed {
+			continue
+		}
+		if !fn(in) {
+			return
 		}
 	}
 }

@@ -206,23 +206,9 @@ func (c *Core) specAtIssue(in *DynInst, kind covKind, a uint64) bool {
 }
 
 // ShadowDepth returns the number of older unresolved conditional branches
-// for in — the depth of the speculation window it executes under. The
-// event-driven scheduler counts over the unresolved-branch queue (touching
-// only branches); the naive schedule keeps the reference ROB walk.
+// for in — the depth of the speculation window it executes under.
 func (c *Core) ShadowDepth(in *DynInst) int {
 	depth := 0
-	if !c.naive {
-		c.brqClean()
-		for _, br := range c.brq.q {
-			if br.Seq >= in.Seq {
-				break
-			}
-			if br.State == StDispatched || br.State == StExecuting {
-				depth++
-			}
-		}
-		return depth
-	}
 	for _, older := range c.rob {
 		if older.Seq >= in.Seq {
 			break

@@ -76,13 +76,7 @@ type DynInst struct {
 	SpecAtIssue bool // issued under an unresolved older branch (its shadow)
 	Tainted     bool // STT: result derived from speculatively accessed data
 
-	// waiters holds the younger instructions parked on this one's result by
-	// the event-driven scheduler (wakeup-select issue, scheduler.go); woken
-	// and cleared when this instruction writes back.
-	waiters []*DynInst
-
-	// waitMask is the scoreboard wait mask (naive schedule, unless
-	// Config.NoScoreboard): one bit per robBuf slot of each register/flags
+	// waitMask is the scoreboard wait mask (unless Config.NoScoreboard): one bit per robBuf slot of each register/flags
 	// producer that had not completed when this instruction dispatched.
 	// DepsDone then reduces to waitMask &^ Core.sbDone == 0 — producers of
 	// a live instruction only ever advance toward completion (a squashed
@@ -215,8 +209,7 @@ type dynArena struct {
 
 const dynArenaChunk = 256
 
-// alloc returns a zeroed DynInst, keeping the recycled FillIDs and waiters
-// capacity.
+// alloc returns a zeroed DynInst, keeping the recycled FillIDs capacity.
 func (a *dynArena) alloc() *DynInst {
 	if a.chunk == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]DynInst, dynArenaChunk))
@@ -228,8 +221,7 @@ func (a *dynArena) alloc() *DynInst {
 		a.next = 0
 	}
 	fillIDs := d.FillIDs[:0]
-	waiters := d.waiters[:0]
-	*d = DynInst{FillIDs: fillIDs, waiters: waiters}
+	*d = DynInst{FillIDs: fillIDs}
 	return d
 }
 

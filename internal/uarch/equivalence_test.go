@@ -176,3 +176,99 @@ func TestFenceSerializes(t *testing.T) {
 		}
 	}
 }
+
+// schedDefenses is the defense sweep of the pipeline equivalence tests:
+// every defense interacts with a different slice of the issue/writeback
+// machinery (delays, sinks, squash work, taint propagation, the ROB/LSQ
+// walks of SpecLFB and STT), so bit-identity must hold under all of them.
+func schedDefenses() map[string]func() uarch.Defense {
+	return map[string]func() uarch.Defense{
+		"baseline":    func() uarch.Defense { return uarch.NopDefense{} },
+		"invisispec":  func() uarch.Defense { return invisispec.New(invisispec.Config{}) },
+		"cleanupspec": func() uarch.Defense { return cleanupspec.New(cleanupspec.Config{}) },
+		"stt":         func() uarch.Defense { return stt.New(stt.Config{}) },
+		"speclfb":     func() uarch.Defense { return speclfb.New(speclfb.Config{}) },
+		"delayonmiss": func() uarch.Defense { return delayonmiss.New() },
+		"ghostminion": func() uarch.Defense { return ghostminion.New() },
+		"fenceall":    func() uarch.Defense { return fenceall.New() },
+	}
+}
+
+// compareCores runs the same test case on an optimized core and a core
+// pinned to a reference path, and fails on any observable divergence:
+// cycle count, stats, committed architectural state, both µarch-order
+// traces, the full debug log and the L1D/D-TLB/L1I snapshots.
+func compareCores(t *testing.T, tag string, opt, ref *uarch.Core, prog *isa.Program, sb isa.Sandbox, in *isa.Input) {
+	t.Helper()
+	run := func(c *uarch.Core) {
+		t.Helper()
+		if err := c.LoadTest(prog, sb); err != nil {
+			t.Fatal(err)
+		}
+		c.ResetForInput(in)
+		c.Log.Enabled = true
+		if err := c.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", tag, err, prog)
+		}
+	}
+	run(opt)
+	run(ref)
+	if opt.EndCycle() != ref.EndCycle() {
+		t.Fatalf("%s: end cycle %d (optimized) vs %d (reference)\n%s", tag, opt.EndCycle(), ref.EndCycle(), prog)
+	}
+	if opt.Stats() != ref.Stats() {
+		t.Fatalf("%s: stats differ\noptimized=%+v\nreference=%+v\n%s", tag, opt.Stats(), ref.Stats(), prog)
+	}
+	if opt.Regs() != ref.Regs() {
+		t.Fatalf("%s: register files differ\n%s", tag, prog)
+	}
+	optLog, refLog := opt.Log.Recs, ref.Log.Recs
+	if len(optLog) != len(refLog) {
+		t.Fatalf("%s: %d log records (optimized) vs %d (reference)\noptimized:\n%sreference:\n%s\n%s",
+			tag, len(optLog), len(refLog), opt.Log.String(), ref.Log.String(), prog)
+	}
+	for i := range optLog {
+		if optLog[i] != refLog[i] {
+			t.Fatalf("%s: log record %d differs: %v (optimized) vs %v (reference)\n%s",
+				tag, i, optLog[i], refLog[i], prog)
+		}
+	}
+	optAcc, refAcc := opt.AccessOrder(), ref.AccessOrder()
+	if len(optAcc) != len(refAcc) {
+		t.Fatalf("%s: access-order lengths differ (%d vs %d)\n%s", tag, len(optAcc), len(refAcc), prog)
+	}
+	for i := range optAcc {
+		if optAcc[i] != refAcc[i] {
+			t.Fatalf("%s: access-order record %d differs\n%s", tag, i, prog)
+		}
+	}
+	optBr, refBr := opt.BranchOrder(), ref.BranchOrder()
+	if len(optBr) != len(refBr) {
+		t.Fatalf("%s: branch-order lengths differ\n%s", tag, prog)
+	}
+	for i := range optBr {
+		if optBr[i] != refBr[i] {
+			t.Fatalf("%s: branch-order record %d differs\n%s", tag, i, prog)
+		}
+	}
+	for _, snap := range []struct {
+		name     string
+		opt, ref []uint64
+	}{
+		{"L1D", opt.Hier.L1D.Snapshot(), ref.Hier.L1D.Snapshot()},
+		{"DTLB", opt.Hier.DTLB.Snapshot(), ref.Hier.DTLB.Snapshot()},
+		{"L1I", opt.Hier.L1I.Snapshot(), ref.Hier.L1I.Snapshot()},
+	} {
+		if len(snap.opt) != len(snap.ref) {
+			t.Fatalf("%s: %s snapshot sizes differ\n%s", tag, snap.name, prog)
+		}
+		for i := range snap.opt {
+			if snap.opt[i] != snap.ref[i] {
+				t.Fatalf("%s: %s snapshot differs at %d\n%s", tag, snap.name, i, prog)
+			}
+		}
+	}
+	if opt.BP.Snapshot() != ref.BP.Snapshot() {
+		t.Fatalf("%s: branch-predictor digests differ\n%s", tag, prog)
+	}
+}

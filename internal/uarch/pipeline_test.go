@@ -3,6 +3,7 @@ package uarch_test
 import (
 	"testing"
 
+	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/testgadget"
 	"github.com/sith-lab/amulet-go/internal/uarch"
@@ -226,5 +227,133 @@ func TestAccessOrderTraceContainsSpeculation(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("squashed speculative access missing from the access-order trace")
+	}
+}
+
+// TestStoreTLBLatencyInvisible pins the decision to discard the store's
+// address-translation latency (tryIssueStore): the translation's µarch side
+// effect — TLB state, the KV3 leak surface — is modeled, but its latency
+// cannot be, because a store produces no register value and commit drains
+// at CommitWidth regardless. A cold-TLB store and a warm-TLB store must
+// therefore retire on the same cycle while their TLB-miss counters differ.
+func TestStoreTLBLatencyInvisible(t *testing.T) {
+	sb := isa.Sandbox{Pages: 2}
+	prog := &isa.Program{Insts: []isa.Inst{
+		isa.MovImm(1, 0xab),
+		isa.Store(2, 0, 1, 8), // translates at execute; R2 picks the page
+	}}
+	for i := 0; i < 20; i++ {
+		prog.Insts = append(prog.Insts, isa.ALUImm(isa.OpAdd, 3, 3, 1))
+	}
+	in := isa.NewInput(sb)
+	in.Regs[2] = uint64(sb.Size()) / 2 // second page: cold on a fresh TLB
+
+	core := uarch.NewCore(uarch.DefaultConfig(), nil)
+	if err := core.LoadTest(prog, sb); err != nil {
+		t.Fatal(err)
+	}
+	run := func(warmTLB bool) (uint64, uint64) {
+		core.ResetUarch()
+		if warmTLB {
+			core.Hier.TranslateData(0, isa.DataBase+in.Regs[2], true)
+		}
+		core.ResetForInput(in)
+		if err := core.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return core.EndCycle(), core.Stats().TLBMisses
+	}
+	coldEnd, coldMiss := run(false)
+	warmEnd, warmMiss := run(true)
+	if coldMiss == warmMiss {
+		t.Fatalf("TLB warmup not observed (cold %d misses, warm %d)", coldMiss, warmMiss)
+	}
+	if coldEnd != warmEnd {
+		t.Errorf("store TLB latency leaked into timing: cold end %d, warm end %d", coldEnd, warmEnd)
+	}
+}
+
+// TestCoreRunSteadyStateAllocs pins the zero-alloc invariant of the
+// pipeline: after warm-up, the DynInst arena, ROB window, scoreboard
+// unissued list and trace slices are all rewound per input — a full
+// LoadTest + ResetForInput + Run cycle allocates nothing. It covers the
+// paper's 64-entry window with the scoreboard the default configuration
+// engages (auto) and with the naive per-cycle walk (Config.NoScoreboard),
+// and a window too large for the scoreboard masks (rob256, where the core
+// falls back to the naive walk), the latter with programs long enough to
+// push ROB slot indices past the masks' 128 bits.
+func TestCoreRunSteadyStateAllocs(t *testing.T) {
+	for _, mode := range []struct {
+		name         string
+		rob          int
+		noScoreboard bool
+	}{{"auto", 64, false}, {"naive", 64, true}, {"rob256", 256, false}} {
+		rob := mode.rob
+		t.Run(mode.name, func(t *testing.T) {
+			gcfg := generator.DefaultConfig()
+			gcfg.Seed = 5
+			if rob > 64 {
+				gcfg.MinInsts, gcfg.MaxInsts, gcfg.MaxBlocks = 180, 250, 8
+			}
+			g := generator.New(gcfg)
+			sb := g.Sandbox()
+			cfg := uarch.DefaultConfig()
+			cfg.ROBSize = rob
+			cfg.NoScoreboard = mode.noScoreboard
+			core := uarch.NewCore(cfg, nil)
+			const nProgs = 8
+			progs := make([]*isa.Program, nProgs)
+			inputs := make([]*isa.Input, nProgs)
+			for i := range progs {
+				progs[i] = g.Program()
+				inputs[i] = g.Input()
+			}
+			k := 0
+			run := func() {
+				if err := core.LoadTest(progs[k], sb); err != nil {
+					t.Fatal(err)
+				}
+				core.ResetForInput(inputs[k])
+				if err := core.Run(); err != nil {
+					t.Fatal(err)
+				}
+				k = (k + 1) % nProgs
+			}
+			for i := 0; i < 2*nProgs; i++ {
+				run() // size the arena, ROB window and trace slices
+			}
+			if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
+				t.Errorf("Core.Run allocates %v objects per input in steady state, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkCoreRun measures the raw pipeline: one simulated test case per
+// iteration with Opt-style resets, without generation or comparison costs.
+func BenchmarkCoreRun(b *testing.B) {
+	gcfg := generator.DefaultConfig()
+	gcfg.Seed = 17
+	g := generator.New(gcfg)
+	sb := g.Sandbox()
+	core := uarch.NewCore(uarch.DefaultConfig(), nil)
+	const nProgs = 8
+	progs := make([]*isa.Program, nProgs)
+	inputs := make([]*isa.Input, nProgs)
+	for i := range progs {
+		progs[i] = g.Program()
+		inputs[i] = g.Input()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % nProgs
+		if err := core.LoadTest(progs[k], sb); err != nil {
+			b.Fatal(err)
+		}
+		core.ResetForInput(inputs[k])
+		if err := core.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

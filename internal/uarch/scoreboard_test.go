@@ -8,8 +8,8 @@ import (
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// TestScoreboardBitIdentity is the direct equivalence proof of the naive
-// scheduler's issue scoreboard: for every defense, random programs and
+// TestScoreboardBitIdentity is the direct equivalence proof of the issue
+// scoreboard: for every defense, random programs and
 // inputs with state carried across inputs, the scoreboard walk (unissued
 // list + completion bitmask) and the reference full-ROB scan with
 // per-producer DepsDone checks must produce identical cycle counts, stats,
@@ -23,7 +23,6 @@ func TestScoreboardBitIdentity(t *testing.T) {
 			g := generator.New(gcfg)
 			sb := g.Sandbox()
 			sbCfg := uarch.DefaultConfig()
-			sbCfg.NaiveSchedule = true // the scoreboard serves the naive walk
 			refCfg := sbCfg
 			refCfg.NoScoreboard = true
 			sc := uarch.NewCore(sbCfg, mk())
@@ -48,7 +47,6 @@ func TestScoreboardBitIdentitySmallROB(t *testing.T) {
 	g := generator.New(gcfg)
 	sb := g.Sandbox()
 	sbCfg := uarch.DefaultConfig()
-	sbCfg.NaiveSchedule = true
 	sbCfg.ROBSize = 8
 	sbCfg.IssueWidth = 2
 	sbCfg.FetchWidth = 2
@@ -68,31 +66,26 @@ func TestScoreboardBitIdentitySmallROB(t *testing.T) {
 // calendar-ring fill queue: with fills routed through the ring (default)
 // versus pinned to the reference min-heap (HeapFills), every defense must
 // see identical fill batches — same cycles, same id order — and therefore
-// produce identical runs. Both schedulers share the hierarchy, so the ring
-// is exercised under each.
+// produce identical runs.
 func TestCalendarFillBitIdentity(t *testing.T) {
 	for name, mk := range schedDefenses() {
 		t.Run(name, func(t *testing.T) {
-			for _, event := range []bool{false, true} {
-				gcfg := generator.DefaultConfig()
-				gcfg.Seed = 273
-				gcfg.Pages = 2
-				g := generator.New(gcfg)
-				sb := g.Sandbox()
-				ringCfg := uarch.DefaultConfig()
-				ringCfg.EventSchedule = event
-				ringCfg.NaiveSchedule = !event
-				heapCfg := ringCfg
-				heapCfg.Hier.HeapFills = true
-				ring := uarch.NewCore(ringCfg, mk())
-				heap := uarch.NewCore(heapCfg, mk())
-				for p := 0; p < 12; p++ {
-					prog := g.Program()
-					for k := 0; k < 2; k++ {
-						in := g.Input()
-						compareCores(t, fmt.Sprintf("%s event=%v prog %d input %d", name, event, p, k),
-							ring, heap, prog, sb, in)
-					}
+			gcfg := generator.DefaultConfig()
+			gcfg.Seed = 273
+			gcfg.Pages = 2
+			g := generator.New(gcfg)
+			sb := g.Sandbox()
+			ringCfg := uarch.DefaultConfig()
+			heapCfg := ringCfg
+			heapCfg.Hier.HeapFills = true
+			ring := uarch.NewCore(ringCfg, mk())
+			heap := uarch.NewCore(heapCfg, mk())
+			for p := 0; p < 12; p++ {
+				prog := g.Program()
+				for k := 0; k < 2; k++ {
+					in := g.Input()
+					compareCores(t, fmt.Sprintf("%s prog %d input %d", name, p, k),
+						ring, heap, prog, sb, in)
 				}
 			}
 		})
