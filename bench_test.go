@@ -134,7 +134,7 @@ func figureBench(b *testing.B, defense string, seed int64, programs int, mutate 
 		if mutate != nil {
 			mutate(&ccfg)
 		}
-		res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,10 +146,6 @@ func figureBench(b *testing.B, defense string, seed int64, programs int, mutate 
 			detectMS = float64(d.Milliseconds())
 		}
 		exec := executor.New(ccfg.Base.Exec, spec.Factory())
-		if mutate != nil {
-			// Rebuild with the mutated core configuration for the replay.
-			exec = executor.New(ccfg.Base.Exec, spec.Factory())
-		}
 		if _, err := analysis.Analyze(exec, res.Violations[0]); err != nil {
 			b.Fatal(err)
 		}
@@ -238,12 +234,12 @@ func writeEngineBenchJSON(b *testing.B, recs []engineBenchRecord) {
 	}
 }
 
-// BenchmarkCampaignSerialVsEngine contrasts the two campaign schedulers on
-// an identical budget: the coarse per-instance path run strictly serially
-// (MaxParallel=1, the paper's single-machine lower bound) against the
-// program-level work-stealing engine with pooled, boot-checkpointed
-// executors on all cores. The tests/s metric is the paper's campaign
-// throughput; on a multi-core machine the engine must be at least as fast.
+// BenchmarkCampaignSerialVsEngine contrasts worker counts of the campaign
+// engine on an identical budget: one worker (the paper's serial,
+// single-machine layout) against the work-stealing pool of pooled,
+// boot-checkpointed executors on all cores. The tests/s metric is the
+// paper's campaign throughput; on a multi-core machine the pool must be at
+// least as fast.
 // Alongside the usual text output it writes BENCH_engine.json (ns/op,
 // cases/sec, worker count) for machine consumption.
 func BenchmarkCampaignSerialVsEngine(b *testing.B) {
@@ -281,8 +277,7 @@ func BenchmarkCampaignSerialVsEngine(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		run(b, "serial", 1, func() (*fuzzer.CampaignResult, error) {
 			ccfg := experiments.CampaignConfig(spec, sc)
-			ccfg.MaxParallel = 1
-			return fuzzer.RunCampaign(context.Background(), ccfg)
+			return engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: 1})
 		})
 	})
 	b.Run("engine", func(b *testing.B) {
@@ -360,15 +355,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := benchScale()
-	cfg := experiments.CampaignConfig(spec, sc).Base
-	f, err := fuzzer.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	ccfg := experiments.CampaignConfig(spec, sc)
 	total := 0
 	for i := 0; i < b.N; i++ {
-		res, err := f.Run(context.Background())
+		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,16 +377,11 @@ func BenchmarkPrimeFillVsInvalidate(b *testing.B) {
 				b.Fatal(err)
 			}
 			sc := benchScale()
-			cfg := experiments.CampaignConfig(spec, sc).Base
-			cfg.Exec.Prime = mode
-			cfg.Programs = 20
-			f, err := fuzzer.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+			ccfg := experiments.CampaignConfig(spec, sc)
+			ccfg.Base.Exec.Prime = mode
+			ccfg.Base.Programs = 20
 			for i := 0; i < b.N; i++ {
-				if _, err := f.Run(context.Background()); err != nil {
+				if _, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -432,7 +417,7 @@ func BenchmarkAblationPriming(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ccfg := experiments.CampaignConfig(spec, sc)
 			ccfg.Base.Exec.Prime = prime
-			res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+			res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -460,7 +445,7 @@ func BenchmarkAblationValidation(b *testing.B) {
 	var mismatches, confirmed float64
 	for i := 0; i < b.N; i++ {
 		ccfg := experiments.CampaignConfig(spec, sc)
-		res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,10 +72,10 @@ func main() {
 		fatal(err)
 	}
 
-	// Every baseline entry is compared — the serial scheduler's throughput
-	// is gated exactly like the engine's, so a regression that only shows
-	// without the worker pool (per-program boots, single-executor reuse)
-	// still fails the build. Improvements beyond the same threshold are
+	// Every baseline entry is compared — the one-worker (serial) entry's
+	// throughput is gated exactly like the pooled entries', so a regression
+	// that only shows without the worker pool (single-executor reuse) still
+	// fails the build. Improvements beyond the same threshold are
 	// called out too: a PR claiming a perf win gets its receipt (or its
 	// absence) in the job summary.
 	fmt.Println("### Campaign benchmarks vs committed baseline")

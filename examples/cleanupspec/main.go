@@ -12,9 +12,9 @@ import (
 	"log"
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
 func classify(defense string, programs int) map[analysis.Signature]int {
@@ -26,7 +26,7 @@ func classify(defense string, programs int) map[analysis.Signature]int {
 	scale.Instances = 3
 	scale.Programs = programs
 	ccfg := experiments.CampaignConfig(spec, scale)
-	res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+	res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
 	"github.com/sith-lab/amulet-go/internal/defense/invisispec"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
@@ -35,7 +36,7 @@ func campaign(name string, patched bool, ways, mshrs int, programs int, seed int
 	ccfg.Base.Exec.Core.Hier.MSHRs = mshrs
 	ccfg.Base.StopOnFirstViolation = true
 
-	res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+	res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -43,11 +44,10 @@ func main() {
 		StopOnFirstViolation: true,
 	}
 
-	f, err := fuzzer.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := f.Run(context.Background())
+	// One instance; the engine's worker pool schedules its programs.
+	res, err := engine.RunCampaign(context.Background(), engine.Config{
+		Campaign: fuzzer.CampaignConfig{Base: cfg, Instances: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func main() {
 
 	// Root-cause the violation the way §3.3 does: replay the pair with the
 	// debug log on and classify the leak.
-	rep, err := analysis.Analyze(f.Executor(), v)
+	rep, err := analysis.Analyze(executor.New(cfg.Exec, cfg.DefenseFactory()), v)
 	if err != nil {
 		log.Fatal(err)
 	}

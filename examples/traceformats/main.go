@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
 func main() {
@@ -35,7 +35,7 @@ func main() {
 		scale.Programs = 80
 		ccfg := experiments.CampaignConfig(spec, scale)
 		ccfg.Base.Exec.Format = f
-		res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,9 +16,9 @@ import (
 func TestMinimizeShrinksViolation(t *testing.T) {
 	cfg := baseConfig(1, 30)
 	cfg.DefenseFactory = func() uarch.Defense { return uarch.NopDefense{} }
-	f, v := findViolation(t, cfg)
+	exec, v := findViolation(t, cfg, 1)
 
-	min, removed, err := analysis.Minimize(f.Executor(), contract.CTSeq, v)
+	min, removed, err := analysis.Minimize(exec, contract.CTSeq, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,10 @@ type Obs struct {
 type Trace []Obs
 
 // TracePool recycles contract trace buffers across test cases. One pool
-// belongs to one goroutine (the serial fuzzer, or one engine worker); it is
-// not safe for concurrent use. Get hands out an emptied recycled buffer (or
-// nil, which Model.CollectInto treats as "allocate fresh"), and Put returns
-// a buffer whose contents are dead.
+// belongs to one goroutine (one engine worker); it is not safe for
+// concurrent use. Get hands out an emptied recycled buffer (or nil, which
+// Model.CollectInto treats as "allocate fresh"), and Put returns a buffer
+// whose contents are dead.
 type TracePool struct {
 	free []Trace
 }

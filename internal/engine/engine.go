@@ -4,13 +4,13 @@
 // work-stealing worker pool, each worker owning a pooled executor whose
 // simulated core — and post-boot checkpoint — is reused across programs.
 //
-// The coarse per-instance layout (fuzzer.RunCampaign) parallelizes at
-// instance granularity, so a campaign of few instances cannot use many
-// cores and a slow instance straggles the whole run. The engine schedules
-// the ~Instances×Programs individual programs instead: workers drain their
-// own queues front-first and steal from the back of others' queues when
-// empty, so load imbalance (programs vary widely in simulation cost)
-// evens out automatically.
+// It is the only campaign driver. One worker is the paper's serial layout;
+// more workers schedule the ~Instances×Programs individual programs rather
+// than whole instances, so a campaign of few instances still uses every
+// core and no slow instance straggles the run: workers drain their own
+// queues front-first and steal from the back of others' queues when empty,
+// so load imbalance (programs vary widely in simulation cost) evens out
+// automatically.
 //
 // # Generation strategies and epochs
 //
@@ -83,8 +83,7 @@ const DefaultEpochs = 4
 // Config configures an engine-scheduled campaign.
 type Config struct {
 	// Campaign is the campaign shape: Base config plus the instance count.
-	// Base.Seed seeds the whole campaign; MaxParallel is ignored (Workers
-	// bounds parallelism here).
+	// Base.Seed seeds the whole campaign.
 	Campaign fuzzer.CampaignConfig
 	// Workers sets the worker-pool size (and thus the executor-pool size);
 	// zero uses GOMAXPROCS. The violation set is identical for every

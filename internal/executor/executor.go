@@ -265,9 +265,8 @@ func (e *Executor) Metrics() Metrics { return e.met }
 
 // CountTruncations folds n leakage-model step-budget truncations into the
 // metrics. The model side (fuzzer.ExecuteCase) reports them here because
-// the executor's metrics are the one channel that survives both campaign
-// drivers: the serial fuzzer snapshots them wholesale and the engine diffs
-// per-unit snapshots, so a count recorded anywhere else would be dropped.
+// the engine attributes metrics to units by diffing executor snapshots, so
+// a count recorded anywhere else would be dropped.
 func (e *Executor) CountTruncations(n int) { e.met.Truncations += n }
 
 // ResetMetrics clears the accumulated metrics.

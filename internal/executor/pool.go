@@ -11,8 +11,7 @@ import (
 // Pool hands out long-lived executors to campaign workers. Executors are
 // created lazily up to the pool size, each with its own defense instance
 // and the boot checkpoint enabled, so the boot workload is paid once per
-// worker instead of once per test program (or once per instance, as the
-// coarse per-instance campaign layout does).
+// worker instead of once per test program.
 type Pool struct {
 	cfg     Config
 	factory func() uarch.Defense

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/sith-lab/amulet-go/internal/executor"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
 // Table2 reproduces the paper's Table 2: the per-test-program time
@@ -23,34 +22,31 @@ func Table2(ctx context.Context, scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := CampaignConfig(spec, scale).Base
-		cfg.Exec.Strategy = strategy
+		ccfg := CampaignConfig(spec, scale)
+		ccfg.Instances = 1
+		ccfg.Base.Exec.Strategy = strategy
 		// The paper measures 30 programs x 140 inputs; scale the program
 		// count down for Naive-speed reasons while keeping inputs/program.
-		cfg.Programs = scale.Programs / 10
-		if cfg.Programs < 2 {
-			cfg.Programs = 2
-		}
-		f, err := fuzzer.New(cfg)
+		ccfg.Base.Programs = max(scale.Programs/10, 2)
+		// One worker: the paper's serial layout, so the wall time is the
+		// sum of the per-component times plus scheduling overhead.
+		res, err := RunCampaign(ctx, ccfg, 1)
 		if err != nil {
 			return nil, err
 		}
-		res, err := f.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		m := res.Metrics
+		tot := res.Totals()
+		m := tot.Metrics
 		b := &breakdown{
 			startup:  m.Startup,
 			prime:    m.Prime,
 			simulate: m.Simulate,
 			trace:    m.TraceExtract,
 			digest:   m.Digest,
-			gen:      res.GenTime,
-			model:    res.ModelTime,
+			gen:      tot.GenTime,
+			model:    tot.ModelTime,
 		}
 		b.total = res.Elapsed
-		b.perProgram = res.Elapsed / time.Duration(cfg.Programs)
+		b.perProgram = res.Elapsed / time.Duration(ccfg.Base.Programs)
 		return b, nil
 	}
 

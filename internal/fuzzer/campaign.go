@@ -1,24 +1,17 @@
 package fuzzer
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// CampaignConfig runs several fuzzing instances in parallel with distinct
-// seeds, the way the paper runs 16 or 100 parallel AMuLeT instances.
+// CampaignConfig is the shape of a campaign: several fuzzing instances
+// with distinct seeds, the way the paper runs 16 or 100 parallel AMuLeT
+// instances. internal/engine runs it.
 type CampaignConfig struct {
 	Base      Config
 	Instances int
-	// MaxParallel bounds simultaneously running instances; zero uses
-	// GOMAXPROCS.
-	MaxParallel int
 }
 
 // seedGamma is the 64-bit golden-ratio constant ⌊2^64/φ⌋ (splitmix64's
@@ -109,55 +102,4 @@ func (c *CampaignResult) Aggregate() {
 		c.TestCases += r.TestCases
 		c.Violations = append(c.Violations, r.Violations...)
 	}
-}
-
-// RunCampaign executes the configured instances concurrently, each running
-// the serial per-instance loop. A context error stops every instance
-// between test cases. Instance failures don't discard the rest of the
-// campaign: the joined errors are returned alongside the partial result
-// (instances that produced nothing stay nil in Instances).
-//
-// internal/engine schedules the same campaign at program granularity with
-// pooled executors; this path keeps the paper's one-executor-per-instance
-// layout.
-func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	if cfg.Instances < 1 {
-		return nil, fmt.Errorf("fuzzer: campaign needs at least one instance")
-	}
-	par := cfg.MaxParallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	start := time.Now()
-	results := make([]*Result, cfg.Instances)
-	errs := make([]error, cfg.Instances)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Instances; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // reported once below, not per instance
-			}
-			inst := cfg.Base
-			inst.Seed = InstanceSeed(cfg.Base.Seed, i)
-			f, err := New(inst)
-			if err != nil {
-				errs[i] = fmt.Errorf("instance %d: %w", i, err)
-				return
-			}
-			res, err := f.Run(ctx)
-			results[i] = res
-			if err != nil && !errors.Is(err, ctx.Err()) {
-				errs[i] = fmt.Errorf("instance %d: %w", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	out := &CampaignResult{Instances: results, Elapsed: time.Since(start)}
-	out.Aggregate()
-	return out, errors.Join(append(errs, ctx.Err())...)
 }

@@ -4,10 +4,12 @@
 // inputs with identical contract traces but different micro-architectural
 // traces.
 //
-// The loop is decomposed into program-level stages — generate,
-// contract-model collect, µarch execute, compare, validate — that the
-// serial Fuzzer drives one program at a time and internal/engine schedules
-// across a worker pool.
+// The loop is decomposed into program-level stages — generate and
+// contract-model collect (UnitGen.Case), then µarch execute, compare and
+// validate (ExecuteCase). The package holds the stages and the campaign
+// configuration and result types; internal/engine is the one campaign
+// driver that schedules the stages across a worker pool (one worker is the
+// paper's serial layout).
 package fuzzer
 
 import (
@@ -72,8 +74,8 @@ type Config struct {
 	MaxViolationsPerProgram int
 }
 
-// Validate reports configuration problems. Campaign entry points (New,
-// NewUnitGen, engine.RunCampaign) call it on entry.
+// Validate reports configuration problems. Campaign entry points
+// (NewUnitGen, engine.RunCampaign) call it on entry.
 func (c Config) Validate() error {
 	if c.Programs < 1 || c.BaseInputs < 1 || c.MutantsPerInput < 0 {
 		return fmt.Errorf("fuzzer: bad campaign sizes (programs=%d, base=%d, mutants=%d)",
@@ -188,14 +190,6 @@ func (r *Result) Merge(other *Result) {
 	}
 }
 
-// Throughput returns test cases per second.
-func (r *Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.TestCases) / r.Elapsed.Seconds()
-}
-
 // FirstDetection returns the earliest detection time across the recorded
 // violations, and whether one exists. The minimum (not Violations[0]) is
 // taken because the engine orders violations by program index, not by
@@ -211,81 +205,6 @@ func (r *Result) FirstDetection() (time.Duration, bool) {
 		}
 	}
 	return first, true
-}
-
-// Fuzzer is one fuzzing instance: the serial driver that runs every
-// program of its budget through the stages on a single executor.
-type Fuzzer struct {
-	cfg  Config
-	gen  *generator.Generator
-	mut  *generator.Mutator
-	exec *executor.Executor
-	def  uarch.Defense
-	tp   *contract.TracePool
-}
-
-// New builds a fuzzer. It returns an error on invalid configuration.
-func New(cfg Config) (*Fuzzer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	genCfg := cfg.Gen
-	genCfg.Seed = cfg.Seed
-	def := cfg.DefenseFactory()
-	exec := executor.New(cfg.Exec, def)
-	// A serial fuzzing instance keeps its one simulator alive for the whole
-	// campaign, exactly like a pooled engine worker: the first Opt start
-	// simulates the boot workload and checkpoints the post-boot context,
-	// later program loads restore it. Naive-strategy startups never use the
-	// checkpoint (per-input boot cost is what the Naive experiments
-	// measure), and the restore is behaviourally identical to re-booting,
-	// so violations are unchanged — TestViolationSetDeterminism pins it.
-	exec.EnableBootCheckpoint()
-	return &Fuzzer{
-		cfg:  cfg,
-		gen:  generator.NewFor(genCfg, cfg.Frontend),
-		mut:  generator.NewMutator(cfg.Seed^mutatorSeedMix, cfg.mutateRegs()),
-		exec: exec,
-		def:  def,
-		tp:   &contract.TracePool{},
-	}, nil
-}
-
-// mutatorSeedMix decorrelates the mutator stream from the generator stream
-// derived from the same seed.
-const mutatorSeedMix = 0x5eed
-
-// Executor exposes the underlying executor (tests, analysis replays).
-func (f *Fuzzer) Executor() *executor.Executor { return f.exec }
-
-// Run executes the campaign. A context error aborts the campaign between
-// test cases; the partial result accumulated so far is returned alongside
-// the context's error.
-func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
-	start := time.Now()
-	res := &Result{}
-	finish := func() {
-		res.Elapsed = time.Since(start)
-		res.Metrics = f.exec.Metrics()
-	}
-	for p := 0; p < f.cfg.Programs; p++ {
-		pc, err := buildCase(ctx, f.cfg, f.gen, f.mut, generator.Random{}, p, f.tp)
-		if err != nil {
-			finish()
-			return res, err
-		}
-		found, err := ExecuteCase(ctx, f.exec, f.cfg, pc, res, start)
-		if err != nil {
-			finish()
-			return res, err
-		}
-		if found && f.cfg.StopOnFirstViolation {
-			break
-		}
-	}
-	finish()
-	return res, nil
 }
 
 // InputClass is one contract-equivalence class: inputs whose contract
@@ -325,61 +244,9 @@ type ProgramCase struct {
 	pool *contract.TracePool
 }
 
-// buildCase runs the generate + collect stages for program pIdx, drawing
-// from the provided generator and mutator streams through the generation
-// strategy. Only the streams, the strategy's frozen corpus and the contract
-// decide the outcome — never the µarch execution — so the generation side
-// of a campaign is deterministic in isolation.
-func buildCase(ctx context.Context, cfg Config, gen *generator.Generator, mut *generator.Mutator, strat generator.Strategy, pIdx int, tp *contract.TracePool) (*ProgramCase, error) {
-	pc := &ProgramCase{Index: pIdx, pool: tp}
-	t0 := time.Now()
-	pc.Source = strat.NewProgram(gen)
-	pc.Prog = gen.Frontend().Lower(pc.Source)
-	pc.SB = gen.Sandbox()
-	pc.GenTime += time.Since(t0)
-	model := contract.NewModel(cfg.Contract, pc.Prog, pc.SB)
-	model.SetReference(cfg.ReferenceModel)
-
-	classes := make(map[uint64]*InputClass)
-	var order []uint64
-	for b := 0; b < cfg.BaseInputs; b++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		base := gen.Input()
-		pc.GenTime += time.Since(t0)
-		t1 := time.Now()
-		ctrace, usage := model.CollectInto(base, tp.Get())
-		h := ctrace.Hash()
-		cls, ok := classes[h]
-		if !ok {
-			cls = &InputClass{CTrace: ctrace}
-			classes[h] = cls
-			order = append(order, h)
-		}
-		cls.Inputs = append(cls.Inputs, base)
-		for m := 0; m < cfg.MutantsPerInput; m++ {
-			mutant, ok := mut.Mutate(model, base, usage, ctrace)
-			if !ok {
-				pc.RejectedMutants++
-				continue
-			}
-			cls.Inputs = append(cls.Inputs, mutant)
-		}
-		if ok {
-			// Duplicate of an existing class: the mutation loop above was
-			// the buffer's last reader, so it goes back to the pool.
-			tp.Put(ctrace)
-		}
-		pc.ModelTime += time.Since(t1)
-	}
-	for _, h := range order {
-		pc.Classes = append(pc.Classes, classes[h])
-	}
-	pc.Truncations = model.Truncated()
-	return pc, nil
-}
+// mutatorSeedMix decorrelates the mutator stream from the generator stream
+// derived from the same seed.
+const mutatorSeedMix = 0x5eed
 
 // UnitGen owns the generation-side state (generator and mutator streams,
 // plus the generation strategy) of one program-level work unit. Every unit
@@ -433,9 +300,61 @@ func (u *UnitGen) SetTracePool(tp *contract.TracePool) { u.tp = tp }
 // must land on the same count, or the unit did not do the same work.
 func (u *UnitGen) Draws() uint64 { return u.gen.Draws() + u.mut.Draws() }
 
-// Case runs the generate + collect stages for program pIdx.
+// Case runs the generate + collect stages for program pIdx, drawing from
+// the unit's generator and mutator streams through its generation
+// strategy. Only the streams, the strategy's frozen corpus and the contract
+// decide the outcome — never the µarch execution — so the generation side
+// of a campaign is deterministic in isolation.
 func (u *UnitGen) Case(ctx context.Context, pIdx int) (*ProgramCase, error) {
-	return buildCase(ctx, u.cfg, u.gen, u.mut, u.strat, pIdx, u.tp)
+	gen, mut, tp := u.gen, u.mut, u.tp
+	pc := &ProgramCase{Index: pIdx, pool: tp}
+	t0 := time.Now()
+	pc.Source = u.strat.NewProgram(gen)
+	pc.Prog = gen.Frontend().Lower(pc.Source)
+	pc.SB = gen.Sandbox()
+	pc.GenTime += time.Since(t0)
+	model := contract.NewModel(u.cfg.Contract, pc.Prog, pc.SB)
+	model.SetReference(u.cfg.ReferenceModel)
+
+	classes := make(map[uint64]*InputClass)
+	var order []uint64
+	for b := 0; b < u.cfg.BaseInputs; b++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		base := gen.Input()
+		pc.GenTime += time.Since(t0)
+		t1 := time.Now()
+		ctrace, usage := model.CollectInto(base, tp.Get())
+		h := ctrace.Hash()
+		cls, ok := classes[h]
+		if !ok {
+			cls = &InputClass{CTrace: ctrace}
+			classes[h] = cls
+			order = append(order, h)
+		}
+		cls.Inputs = append(cls.Inputs, base)
+		for m := 0; m < u.cfg.MutantsPerInput; m++ {
+			mutant, ok := mut.Mutate(model, base, usage, ctrace)
+			if !ok {
+				pc.RejectedMutants++
+				continue
+			}
+			cls.Inputs = append(cls.Inputs, mutant)
+		}
+		if ok {
+			// Duplicate of an existing class: the mutation loop above was
+			// the buffer's last reader, so it goes back to the pool.
+			tp.Put(ctrace)
+		}
+		pc.ModelTime += time.Since(t1)
+	}
+	for _, h := range order {
+		pc.Classes = append(pc.Classes, classes[h])
+	}
+	pc.Truncations = model.Truncated()
+	return pc, nil
 }
 
 // ExecuteCase runs the µarch execute → compare → validate stages of one
